@@ -49,6 +49,13 @@ class ByteWriter {
   /// trivially-copyable wire structs (tuple batches, fused sketch cells).
   void append(const void* data, std::size_t n) { append_raw(data, n); }
 
+  /// Overwrites the u32 at byte offset `at` — back-patches a length or
+  /// count prefix written as a placeholder before its contents were known.
+  void patch_u32(std::size_t at, std::uint32_t v) {
+    SKW_EXPECTS(at <= bytes_.size() && sizeof(v) <= bytes_.size() - at);
+    std::memcpy(bytes_.data() + at, &v, sizeof(v));
+  }
+
   /// Drops the contents but keeps the buffer capacity, so a reused
   /// per-frame writer allocates nothing in steady state.
   void clear() { bytes_.clear(); }
@@ -107,6 +114,14 @@ class ByteReader {
   bool read_into(void* dst, std::size_t n) {
     if (!require(n)) return false;
     std::memcpy(dst, data_ + pos_, n);
+    pos_ += n;
+    return true;
+  }
+
+  /// Advances past `n` bytes without copying them. Returns whether they
+  /// were available (always true in aborting mode — it aborts instead).
+  bool skip(std::size_t n) {
+    if (!require(n)) return false;
     pos_ += n;
     return true;
   }

@@ -59,6 +59,14 @@ bool FrameChannel::send(FrameType type, std::uint64_t epoch,
     last_error_ = "send on closed channel";
     return false;
   }
+  if (size > kMaxFramePayload) {
+    // Refused before a byte is written: the peer would reject the header
+    // as corrupt, and the u32 size field cannot even hold a larger value.
+    last_error_ = "send: payload of " + std::to_string(size) +
+                  " bytes exceeds the " + std::to_string(kMaxFramePayload) +
+                  "-byte frame payload cap";
+    return false;
+  }
   std::uint8_t header[kFrameHeaderBytes];
   {
     ByteWriter w;

@@ -40,7 +40,9 @@ class FrameChannel {
   /// Writes one complete frame (header + payload), looping over partial
   /// writes and EINTR. Blocks when the socket buffer is full — which is
   /// exactly the backpressure the data channel wants and the control
-  /// channel avoids by carrying only small frames.
+  /// channel avoids by carrying only small frames. A payload over
+  /// kMaxFramePayload is refused up front (nothing is written) with a
+  /// last_error() naming its size and the cap.
   [[nodiscard]] bool send(FrameType type, std::uint64_t epoch,
                           const std::uint8_t* payload, std::size_t size);
   [[nodiscard]] bool send(FrameType type, std::uint64_t epoch,

@@ -33,9 +33,11 @@ inline constexpr std::uint32_t kFrameMagic = 0x4c574b53u;
 inline constexpr std::uint8_t kWireVersion = 2;
 
 /// Hard cap on a single frame's payload. Loopback batches and boundary
-/// summaries are a few MiB at most; anything bigger is a corrupt length
-/// field, and rejecting it here stops a bad frame from driving a giant
-/// allocation.
+/// summaries are a few MiB at most, so on receipt anything bigger is a
+/// corrupt length field, and rejecting it here stops a bad frame from
+/// driving a giant allocation. Checkpoints grow with the state store and
+/// can reach the cap; FrameChannel::send refuses such a payload by name
+/// rather than emit a frame the peer would read as corrupt.
 inline constexpr std::uint32_t kMaxFramePayload = 256u << 20;
 
 enum class FrameType : std::uint8_t {

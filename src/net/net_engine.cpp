@@ -57,7 +57,7 @@ NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
   engine_epoch_us_ = steady_now_us();
   const auto n = static_cast<std::size_t>(num_workers_);
   pending_batches_.resize(n);
-  checkpoints_.assign(n, CheckpointRing(config_.checkpoint_ring_capacity));
+  checkpoints_.resize(n);
   replay_.assign(n, ReplayBuffer(config_.replay_max_bytes));
   pending_installs_.resize(n);
   migrated_away_.resize(n);
@@ -216,20 +216,21 @@ void NetEngine::fail(const std::string& what) {
   }
 }
 
-void NetEngine::reap_worker(std::size_t w, const char* why) {
+int NetEngine::reap_worker(std::size_t w, const char* why) {
   Worker& wk = workers_[w];
+  int status = 0;
   wire_retired_data_ += wk.data.bytes_sent() + wk.data.bytes_received();
   wire_retired_ctrl_ += wk.ctrl.bytes_sent() + wk.ctrl.bytes_received();
   wk.data.close();
   wk.ctrl.close();
   if (wk.pid > 0) {
     ::kill(wk.pid, SIGKILL);
-    int status = 0;
     ::waitpid(wk.pid, &status, 0);
     SKW_LOG_INFO("net worker %zu reaped (%s): %s", w, why,
                  describe_worker_exit(status).c_str());
     wk.pid = -1;
   }
+  return status;
 }
 
 bool NetEngine::recover_worker(std::size_t w, const std::string& why) {
@@ -240,7 +241,14 @@ bool NetEngine::recover_worker(std::size_t w, const std::string& why) {
   }
   SKW_LOG_INFO("net worker %zu failed (%s): recovering", w, why.c_str());
   WallTimer timer;
-  reap_worker(w, why.c_str());
+  const int status = reap_worker(w, why.c_str());
+  if (WIFEXITED(status) &&
+      WEXITSTATUS(status) == kWorkerExitCheckpointTooLarge) {
+    // Replay rebuilds the same state, so a respawn would overflow again.
+    fail("worker " + std::to_string(w) + ": its checkpoint exceeds the " +
+         std::to_string(kMaxFramePayload) + "-byte frame payload cap");
+    return false;
+  }
   if (replay_[w].overflowed()) {
     // The open epoch outgrew the replay budget: there is a hole in what
     // we could re-send, and replaying a hole would silently drop mass.
@@ -267,6 +275,7 @@ bool NetEngine::recover_worker(std::size_t w, const std::string& why) {
       continue;
     }
     if (!restore_worker(w)) {
+      if (!ok()) return false;
       reap_worker(w, "checkpoint restore failed");
       continue;
     }
@@ -279,26 +288,21 @@ bool NetEngine::recover_worker(std::size_t w, const std::string& why) {
   }
 }
 
-CheckpointPayload NetEngine::effective_checkpoint(std::size_t w) const {
-  CheckpointPayload eff;
-  if (const CheckpointPayload* cp = checkpoints_[w].latest()) eff = *cp;
-  if (!migrated_away_[w].empty()) {
-    std::erase_if(eff.states, [&](const WireKeyState& s) {
-      return migrated_away_[w].count(s.key) > 0;
-    });
-  }
-  for (const PendingInstall& p : pending_installs_[w]) {
-    eff.states.push_back(p.state);
-  }
-  return eff;
-}
-
 bool NetEngine::restore_worker(std::size_t w) {
   Worker& wk = workers_[w];
-  const CheckpointPayload eff = effective_checkpoint(w);
+  const std::vector<std::uint8_t>* stored = checkpoints_[w].latest();
+  const std::uint64_t epoch =
+      stored != nullptr ? read_checkpoint_head(*stored).epoch : 0;
   frame_scratch_.clear();
-  encode_checkpoint(frame_scratch_, eff);
-  if (!wk.ctrl.send(FrameType::kRestore, eff.epoch, frame_scratch_)) {
+  encode_effective_checkpoint(frame_scratch_, stored, migrated_away_[w],
+                              pending_installs_[w]);
+  if (frame_scratch_.size() > kMaxFramePayload) {
+    fail("worker " + std::to_string(w) + ": its effective checkpoint (" +
+         std::to_string(frame_scratch_.size()) + " bytes) exceeds the " +
+         std::to_string(kMaxFramePayload) + "-byte frame payload cap");
+    return false;
+  }
+  if (!wk.ctrl.send(FrameType::kRestore, epoch, frame_scratch_)) {
     return false;
   }
   FrameHeader header;
@@ -360,7 +364,14 @@ void NetEngine::degrade_worker(std::size_t w) {
       "net worker %zu retired after %d failed recoveries; degrading onto "
       "%zu survivors",
       w, wk.recover_attempts, live);
-  CheckpointPayload eff = effective_checkpoint(w);
+  // The one path that materializes a checkpoint: the states are re-homed
+  // one by one below.
+  frame_scratch_.clear();
+  encode_effective_checkpoint(frame_scratch_, checkpoints_[w].latest(),
+                              migrated_away_[w], pending_installs_[w]);
+  CheckpointPayload eff;
+  ByteReader eff_in(frame_scratch_.bytes());
+  (void)decode_checkpoint(eff_in, eff);  // our own encoding
   // No Fin will ever come from this worker: fold the outputs its last
   // checkpoint vouches for here. The open epoch's tuples are re-routed
   // below and re-counted when the survivors seal them.
@@ -613,13 +624,12 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
   double latency_sum = 0.0;
   std::uint64_t latency_n = 0;
   std::vector<double> worker_cost(workers_.size(), 0.0);
-  std::vector<std::uint8_t> summary_buf;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (workers_[w].dead) continue;
     // With recovery on, the summary is only a CANDIDATE until the same
     // epoch's checkpoint lands: a worker that dies between the two is
     // replayed from its previous checkpoint, and absorbing its summary
-    // early would count the epoch twice. The buffered copy is absorbed
+    // early would count the epoch twice. The decoded summary is absorbed
     // the moment the checkpoint confirms the epoch completed durably.
     bool have_summary = false;
     bool have_checkpoint = !config_.recovery_enabled;
@@ -647,13 +657,20 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
           }
           continue;
         }
-        summary_buf = recv_scratch_;  // overwrite a pre-crash duplicate
+        // Decoded now, absorbed once the checkpoint lands; a summary
+        // re-sent after a recovery overwrites this one.
+        ByteReader in(recv_scratch_, ByteReader::Untrusted{});
+        if (!scratch_slab_->deserialize_from(in) || !in.exhausted() ||
+            scratch_slab_->epoch() != epoch) {
+          // A post-seal worker produced this; not a crash we can replay.
+          fail("corrupt boundary summary from worker " + std::to_string(w));
+          return false;
+        }
         have_summary = true;
       } else if (header.type == FrameType::kCheckpoint) {
         ByteReader in(recv_scratch_, ByteReader::Untrusted{});
-        CheckpointPayload cp;
-        if (!have_summary || !decode_checkpoint(in, cp) || !in.exhausted() ||
-            cp.epoch != epoch) {
+        if (!have_summary || !validate_checkpoint(in) || !in.exhausted() ||
+            read_checkpoint_head(recv_scratch_).epoch != epoch) {
           have_summary = false;
           if (!recover_worker(w, "bad Checkpoint at epoch " +
                                      std::to_string(epoch))) {
@@ -662,7 +679,8 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
           }
           continue;
         }
-        checkpoints_[w].push(std::move(cp));
+        // Kept verbatim: the receive buffer and the slot trade places.
+        checkpoints_[w].swap_in(recv_scratch_);
         // The epoch is durable: its batches are reflected in the
         // checkpoint, migration bookkeeping older than it is stale, and
         // the worker proved forward progress (retry budget refills).
@@ -687,14 +705,6 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
       }
     }
     if (workers_[w].dead || !have_summary) continue;  // degraded mid-epoch
-    ByteReader in(summary_buf.empty() ? recv_scratch_ : summary_buf,
-                  ByteReader::Untrusted{});
-    if (!scratch_slab_->deserialize_from(in) || !in.exhausted() ||
-        scratch_slab_->epoch() != epoch) {
-      // A post-seal worker produced this; not a crash we can replay.
-      fail("corrupt boundary summary from worker " + std::to_string(w));
-      return false;
-    }
     const WorkerSketchSlab::IntervalScalars& sc = scratch_slab_->scalars();
     report.processed += sc.processed;
     latency_sum += sc.latency_sum_us;
@@ -709,7 +719,6 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
     WallTimer merge_timer;
     sketch_sink_->absorb_slab(*scratch_slab_, static_cast<InstanceId>(w));
     report.merge_ms += merge_timer.elapsed_millis();
-    summary_buf.clear();
   }
   report.avg_latency_ms =
       latency_n > 0 ? latency_sum / static_cast<double>(latency_n) / 1000.0
@@ -791,7 +800,7 @@ bool NetEngine::execute_migration(const RebalancePlan& plan,
       if (bad) {
         if (!recover_worker(w, why)) {
           if (!ok()) return false;
-          break;  // degraded: effective_checkpoint re-homed its keys
+          break;  // degraded: degrade_worker re-homed its keys
         }
         need_extract[w] = 1;
         continue;

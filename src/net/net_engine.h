@@ -22,7 +22,11 @@
 //      batches, which re-establishes cross-channel ordering by content;
 //   3. each worker serializes its WorkerSketchSlab and ships it back as
 //      the kSummary boundary payload (O(sketch), never O(|K|)), followed
-//      by a kCheckpoint snapshot of its key states when recovery is on;
+//      by a kCheckpoint snapshot of its key states when recovery is on.
+//      Every worker serializes that checkpoint straight into one frame
+//      buffer BEFORE its summary send, which blocks until the driver
+//      reads it — so all workers serialize at once and a boundary costs
+//      the slowest worker's checkpoint, not the sum of them;
 //   4. the driver absorbs the summaries IN WORKER-INDEX ORDER into the
 //      controller's SketchStatsWindow — the same fixed order as the
 //      in-process merge, which is what makes a net run byte-identical to
@@ -36,10 +40,14 @@
 // Failure model (recovery_enabled, the default): a worker crash, wedge
 // or corrupt frame is detected by deadline-bounded control receives
 // (heartbeats extend the deadline; EOF/POLLHUP classifies a crash, a
-// timeout classifies a wedge). The driver then respawns the worker with
-// exponential backoff, reinstalls its last checkpoint (adjusted for any
-// migration since), re-broadcasts the heavy set and expiry watermark,
-// replays the open epoch's recorded batches VERBATIM, and re-seals.
+// timeout classifies a wedge). The driver holds each worker's latest
+// checkpoint in one slot, as the verbatim payload that crossed the socket
+// (validated in place, never decoded). On a failure it respawns the
+// worker with exponential backoff, streams the checkpoint back from those
+// bytes (adjusted for any migration since), re-broadcasts the heavy set
+// and expiry watermark, replays the open epoch's recorded batches
+// VERBATIM, and re-seals. A checkpoint over the frame payload cap is not
+// recoverable (replay would rebuild it) and fails the run by name.
 // Because the replayed bytes and control sequence are exactly the lost
 // worker's inputs, a recovered run is byte-identical to a crash-free
 // run: same plan-history digest, same θ bit patterns, same state
@@ -110,8 +118,6 @@ struct NetConfig {
   /// routed batches). Overflow makes a crash in that epoch fatal rather
   /// than silently unreplayable.
   std::size_t replay_max_bytes = 256u << 20;
-  /// Checkpoints retained per worker (only latest() is ever restored).
-  std::size_t checkpoint_ring_capacity = 2;
 };
 
 /// Same shape as ThreadedIntervalReport, plus the wire-level byte
@@ -229,7 +235,8 @@ class NetEngine {
     return total_recovery_ms_;
   }
   [[nodiscard]] std::size_t live_workers() const;
-  [[nodiscard]] const CheckpointRing& checkpoint_ring(std::size_t w) const {
+  /// Worker `w`'s latest checkpoint, held as the verbatim payload.
+  [[nodiscard]] const CheckpointSlot& checkpoint(std::size_t w) const {
     return checkpoints_[w];
   }
 
@@ -266,16 +273,17 @@ class NetEngine {
   /// method becomes a no-op afterwards.
   void fail(const std::string& what);
   /// Closes channels, SIGKILLs and reaps worker `w`, logging the
-  /// classified exit status.
-  void reap_worker(std::size_t w, const char* why);
+  /// classified exit status. Returns the waitpid status (0 when there
+  /// was no process to reap).
+  int reap_worker(std::size_t w, const char* why);
   /// Detect → respawn → restore → replay. Returns true when the worker
   /// is live again; false when it was degraded away or the engine
   /// failed (check ok()).
   [[nodiscard]] bool recover_worker(std::size_t w, const std::string& why);
+  /// Streams worker `w`'s effective checkpoint (latest minus keys
+  /// migrated away since, plus states installed since — the state it is
+  /// responsible for) from the slot's bytes as kRestore, then replays.
   [[nodiscard]] bool restore_worker(std::size_t w);
-  /// Latest checkpoint minus keys migrated away since, plus states
-  /// installed since — the state worker `w` is responsible for.
-  [[nodiscard]] CheckpointPayload effective_checkpoint(std::size_t w) const;
   /// Retry budget exhausted: retire `w`, re-home its checkpointed
   /// states and replay tuples onto the survivors.
   void degrade_worker(std::size_t w);
@@ -313,17 +321,8 @@ class NetEngine {
   InstanceId num_workers_ = 0;
   std::vector<Worker> workers_;
   std::vector<std::vector<Tuple>> pending_batches_;
-  /// A state kInstall-ed into a worker since its last checkpoint (a
-  /// restore must re-deliver it — the checkpoint predates it). Tagged
-  /// with the epoch of the boundary that sent it: a checkpoint for
-  /// epoch e proves only installs tagged BEFORE e are reflected.
-  struct PendingInstall {
-    std::uint64_t epoch = 0;
-    WireKeyState state;
-  };
-
   /// Per-worker recovery state, indexed like workers_.
-  std::vector<CheckpointRing> checkpoints_;
+  std::vector<CheckpointSlot> checkpoints_;
   std::vector<ReplayBuffer> replay_;
   std::vector<std::vector<PendingInstall>> pending_installs_;
   /// Keys kExtract-ed from the worker since its last checkpoint (a

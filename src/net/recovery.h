@@ -1,13 +1,15 @@
-// Driver-side recovery state for the socket engine: the bounded
-// per-worker checkpoint ring, the bounded replay buffer of the open
-// epoch's routed batches, and worker exit-status classification. These
-// are plain data structures (unit-tested directly); the recovery
-// PROTOCOL — detect, respawn, restore, replay — lives in NetEngine.
+// Driver-side recovery state for the socket engine: the per-worker
+// checkpoint slot (the latest checkpoint payload, held verbatim), the
+// effective-checkpoint encoder a restore streams from it, the bounded
+// replay buffer of the open epoch's routed batches, and worker
+// exit-status classification. These are plain data structures
+// (unit-tested directly); the recovery PROTOCOL — detect, respawn,
+// restore, replay — lives in NetEngine.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "net/wire.h"
@@ -23,50 +25,60 @@ inline constexpr int kWorkerExitHandshake = 2;
 inline constexpr int kWorkerExitProtocol = 3;
 inline constexpr int kWorkerExitCorruptFrame = 4;
 inline constexpr int kWorkerExitFault = 5;  // injected fault (tests)
+/// The post-seal checkpoint exceeds kMaxFramePayload. Replay would
+/// rebuild the same state and overflow again, so the driver fails the
+/// run on this code instead of recovering.
+inline constexpr int kWorkerExitCheckpointTooLarge = 6;
 
 /// Human-readable classification of a waitpid status: which exit code
 /// (named) or which signal ended the worker.
 [[nodiscard]] std::string describe_worker_exit(int wait_status);
 
-/// Bounded ring of per-epoch checkpoints for one worker, newest last.
-/// Recovery only ever reinstalls latest(); the ring depth exists so a
-/// checkpoint that arrives corrupt can fall back one epoch without the
-/// driver holding O(epochs) state history.
-class CheckpointRing {
+/// The latest checkpoint of one worker, held as the verbatim kCheckpoint
+/// payload that crossed the socket (already validate_checkpoint-ed). Only
+/// the newest checkpoint is ever restored, so one slot is all the driver
+/// keeps: memory is one payload per worker, never O(epochs). The bytes are
+/// swapped in rather than copied or decoded, so a steady-state boundary
+/// costs the driver no allocation and no per-key work.
+class CheckpointSlot {
  public:
-  explicit CheckpointRing(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+  /// Takes `payload` by swapping buffers: the slot's previous bytes go
+  /// back to the caller, whose receive buffer then reuses their capacity.
+  void swap_in(std::vector<std::uint8_t>& payload) { bytes_.swap(payload); }
 
-  void push(CheckpointPayload cp) {
-    ring_.push_back(std::move(cp));
-    while (ring_.size() > capacity_) ring_.pop_front();
+  /// The held payload, or nullptr before the first checkpoint.
+  [[nodiscard]] const std::vector<std::uint8_t>* latest() const {
+    return bytes_.empty() ? nullptr : &bytes_;
   }
 
-  [[nodiscard]] const CheckpointPayload* latest() const {
-    return ring_.empty() ? nullptr : &ring_.back();
-  }
+  /// Releases the payload (a retired worker's state is re-homed first).
+  void clear() { std::vector<std::uint8_t>().swap(bytes_); }
 
-  void clear() { ring_.clear(); }
-
-  [[nodiscard]] std::size_t size() const { return ring_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-  /// Approximate resident bytes of the buffered state blobs (the bound
-  /// the ring test asserts never grows with run length).
-  [[nodiscard]] std::size_t memory_bytes() const {
-    std::size_t total = 0;
-    for (const CheckpointPayload& cp : ring_) {
-      for (const WireKeyState& s : cp.states) {
-        total += sizeof(WireKeyState) + s.blob.size();
-      }
-    }
-    return total;
-  }
+  /// Bytes of the held payload.
+  [[nodiscard]] std::size_t memory_bytes() const { return bytes_.size(); }
 
  private:
-  std::deque<CheckpointPayload> ring_;
-  std::size_t capacity_;
+  std::vector<std::uint8_t> bytes_;
 };
+
+/// A state kInstall-ed into a worker since its last checkpoint (a restore
+/// must re-deliver it — the checkpoint predates it). Tagged with the epoch
+/// of the boundary that sent it: a checkpoint for epoch e proves only
+/// installs tagged BEFORE e are reflected.
+struct PendingInstall {
+  std::uint64_t epoch = 0;
+  WireKeyState state;
+};
+
+/// Streams the EFFECTIVE checkpoint of one worker into `out`: the records
+/// of `stored` (a slot's payload, or nullptr for none) minus the keys in
+/// `migrated_away`, then `installs`, under the stored counters and a
+/// patched count. Byte-equal to decoding `stored`, erasing those keys,
+/// appending the installs and re-encoding — without the decode.
+void encode_effective_checkpoint(
+    ByteWriter& out, const std::vector<std::uint8_t>* stored,
+    const std::unordered_set<KeyId>& migrated_away,
+    const std::vector<PendingInstall>& installs);
 
 /// Bounded record of the open epoch's routed batches for one worker —
 /// the verbatim serialized kBatch payloads, so a replay re-sends the

@@ -161,6 +161,51 @@ bool decode_checkpoint(ByteReader& in, CheckpointPayload& cp) {
   return decode_key_states(in, cp.states);
 }
 
+bool validate_checkpoint(ByteReader& in) {
+  (void)in.skip(kCheckpointCounterBytes);
+  const std::uint32_t n = in.u32();
+  constexpr std::size_t kMinEntryBytes = 8 + 4;
+  if (!in.fits(n, kMinEntryBytes)) return false;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    (void)in.skip(sizeof(KeyId));
+    const std::uint32_t blob_size = in.u32();
+    if (!in.skip(blob_size)) return false;
+  }
+  return in.ok();
+}
+
+CheckpointPayload read_checkpoint_head(
+    const std::vector<std::uint8_t>& payload) {
+  ByteReader in(payload);
+  CheckpointPayload cp;
+  cp.epoch = in.u64();
+  cp.processed = in.u64();
+  cp.outputs = in.u64();
+  cp.local_buckets = in.u64();
+  cp.state_checksum = in.u64();
+  return cp;
+}
+
+CheckpointWriter::CheckpointWriter(ByteWriter& out,
+                                   const CheckpointPayload& head)
+    : out_(out) {
+  out_.u64(head.epoch);
+  out_.u64(head.processed);
+  out_.u64(head.outputs);
+  out_.u64(head.local_buckets);
+  out_.u64(head.state_checksum);
+  count_at_ = out_.size();
+  out_.u32(0);
+}
+
+void CheckpointWriter::add(KeyId key, const std::uint8_t* blob,
+                           std::size_t size) {
+  out_.u64(key);
+  out_.u32(static_cast<std::uint32_t>(size));
+  out_.append(blob, size);
+  ++count_;
+}
+
 void encode_heartbeat(ByteWriter& out, const HeartbeatPayload& hb) {
   out.u64(hb.epoch_batches);
 }

@@ -105,6 +105,75 @@ struct CheckpointPayload {
 void encode_checkpoint(ByteWriter& out, const CheckpointPayload& cp);
 [[nodiscard]] bool decode_checkpoint(ByteReader& in, CheckpointPayload& cp);
 
+// A checkpoint carries every key state a worker holds, so the steady-state
+// path never materializes one: the worker streams its store straight into
+// the frame (CheckpointWriter), the driver checks the bytes in place
+// (validate_checkpoint) and keeps them verbatim, and a restore walks them
+// (for_each_checkpoint_state). All three speak exactly the
+// encode_checkpoint format; only the rare degrade path decodes.
+
+/// Bytes of the five u64 counters that open a checkpoint payload.
+inline constexpr std::size_t kCheckpointCounterBytes = 5 * 8;
+
+/// Structural walk that allocates nothing: accepts exactly the inputs
+/// decode_checkpoint accepts, and on success leaves `in` where decode
+/// would (callers still check exhausted()).
+[[nodiscard]] bool validate_checkpoint(ByteReader& in);
+
+/// The counters of a payload that passed validate_checkpoint (`states`
+/// left empty).
+[[nodiscard]] CheckpointPayload read_checkpoint_head(
+    const std::vector<std::uint8_t>& payload);
+
+/// Calls f(key, blob, blob_size) for each state record of a payload that
+/// passed validate_checkpoint, in payload order, without copying a blob.
+template <typename F>
+void for_each_checkpoint_state(const std::vector<std::uint8_t>& payload,
+                               F&& f) {
+  ByteReader in(payload);
+  (void)in.skip(kCheckpointCounterBytes);
+  const std::uint32_t n = in.u32();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const KeyId key = in.u64();
+    const std::uint32_t size = in.u32();
+    const std::uint8_t* blob = payload.data() + payload.size() - in.remaining();
+    (void)in.skip(size);
+    f(key, blob, size);
+  }
+}
+
+/// Streams one checkpoint payload into `out` record by record: the same
+/// bytes encode_checkpoint would write for the same counters and states,
+/// with no per-state buffer. The state count and each blob's length are
+/// written as placeholders and back-patched.
+class CheckpointWriter {
+ public:
+  /// Appends the counters of `head` (its `states` are ignored).
+  CheckpointWriter(ByteWriter& out, const CheckpointPayload& head);
+
+  /// Appends one record whose blob `write_blob(out)` serializes in place.
+  template <typename WriteBlob>
+  void add(KeyId key, WriteBlob&& write_blob) {
+    out_.u64(key);
+    const std::size_t at = out_.size();
+    out_.u32(0);
+    write_blob(out_);
+    out_.patch_u32(at, static_cast<std::uint32_t>(out_.size() - at - 4));
+    ++count_;
+  }
+
+  /// Appends one record from an already-serialized blob.
+  void add(KeyId key, const std::uint8_t* blob, std::size_t size);
+
+  /// Patches the state count; call once, after the last add().
+  void finish() { out_.patch_u32(count_at_, count_); }
+
+ private:
+  ByteWriter& out_;
+  std::size_t count_at_ = 0;
+  std::uint32_t count_ = 0;
+};
+
 // --- kHeartbeat -----------------------------------------------------------
 /// Epoch-progress liveness beat: how many batches of the open epoch the
 /// worker has processed. Any heartbeat resets the driver's per-worker

@@ -191,9 +191,14 @@ class NetWorker {
 
   /// Seals the epoch once every one of its batches has been processed:
   /// stamps + serializes the slab as the boundary summary, ships it on
-  /// ctrl, and resets for the next epoch.
+  /// ctrl, and resets for the next epoch. With recovery on, the
+  /// checkpoint is serialized BEFORE the summary goes out: the summary
+  /// send blocks until the driver reads this worker, and the driver reads
+  /// workers in index order, so serializing first lets every worker build
+  /// its checkpoint in parallel instead of in turn.
   int maybe_seal() {
     if (!seal_pending_ || epoch_batches_ != seal_target_) return kKeepRunning;
+    if (options_.recovery) build_checkpoint();
     slab_.set_epoch(seal_epoch_);
     scratch_.clear();
     slab_.serialize(scratch_);
@@ -204,71 +209,68 @@ class NetWorker {
     slab_.clear();
     epoch_batches_ = 0;
     seal_pending_ = false;
-    if (options_.recovery) {
-      const int rc = send_checkpoint();
-      if (rc >= 0) return rc;
+    if (options_.recovery &&
+        !ctrl_.send(FrameType::kCheckpoint, seal_epoch_, checkpoint_)) {
+      return fail(checkpoint_.size() > kMaxFramePayload
+                      ? kWorkerExitCheckpointTooLarge
+                      : kWorkerExitChannel,
+                  "send Checkpoint", ctrl_.last_error().c_str());
     }
     return kKeepRunning;
   }
 
-  /// Ships the post-seal durable snapshot: counters, the scratch map's
-  /// bucket count (its rehash trajectory is byte-identity relevant), the
-  /// state checksum, and every key state's serialized blob.
-  int send_checkpoint() {
-    CheckpointPayload cp;
-    cp.epoch = seal_epoch_;
-    cp.processed = processed_;
-    cp.outputs = outputs_;
-    cp.local_buckets = local_.bucket_count();
-    cp.state_checksum = store_.checksum();
-    cp.states.reserve(store_.size());
-    for (const auto& [key, state] : store_.states()) {
-      WireKeyState wire;
-      wire.key = key;
-      ByteWriter blob;
-      state->serialize(blob);
-      wire.blob = blob.take();
-      cp.states.push_back(std::move(wire));
-    }
-    scratch_.clear();
-    encode_checkpoint(scratch_, cp);
-    if (!ctrl_.send(FrameType::kCheckpoint, cp.epoch, scratch_)) {
-      return fail(kWorkerExitChannel, "send Checkpoint",
-                  ctrl_.last_error().c_str());
-    }
-    return kKeepRunning;
+  /// Serializes the post-seal durable snapshot into checkpoint_: the
+  /// counters, the scratch map's bucket count (its rehash trajectory is
+  /// byte-identity relevant), the state checksum, and every key state.
+  void build_checkpoint() {
+    CheckpointPayload head;
+    head.epoch = seal_epoch_;
+    head.processed = processed_;
+    head.outputs = outputs_;
+    head.local_buckets = local_.bucket_count();
+    head.state_checksum = store_.checksum();
+    checkpoint_.clear();
+    write_store_checkpoint(checkpoint_, head, store_);
   }
 
   /// Reinstalls a driver-held checkpoint after a respawn: replaces the
   /// whole store, restores the counters and the scratch map's bucket
   /// trajectory, and acks so the driver can start the replay.
   int handle_restore(ByteReader& in) {
-    CheckpointPayload cp;
-    if (!decode_checkpoint(in, cp)) {
+    if (!validate_checkpoint(in)) {
       return fail(kWorkerExitCorruptFrame, "decode",
                   "corrupt Restore payload");
     }
+    const CheckpointPayload head = read_checkpoint_head(ctrl_payload_);
     store_.clear();
-    for (const WireKeyState& wire : cp.states) {
-      ByteReader blob(wire.blob, ByteReader::Untrusted{});
-      std::unique_ptr<KeyState> state = logic_.deserialize_state(blob);
-      if (state == nullptr || !blob.ok() || !blob.exhausted()) {
-        return fail(kWorkerExitCorruptFrame, "decode",
-                    "corrupt checkpoint state blob");
-      }
-      store_.install_or_replace(wire.key, std::move(state));
+    bool blobs_ok = true;
+    for_each_checkpoint_state(
+        ctrl_payload_,
+        [&](KeyId key, const std::uint8_t* data, std::uint32_t size) {
+          if (!blobs_ok) return;
+          ByteReader blob(data, size, ByteReader::Untrusted{});
+          std::unique_ptr<KeyState> state = logic_.deserialize_state(blob);
+          if (state == nullptr || !blob.ok() || !blob.exhausted()) {
+            blobs_ok = false;
+            return;
+          }
+          store_.install_or_replace(key, std::move(state));
+        });
+    if (!blobs_ok) {
+      return fail(kWorkerExitCorruptFrame, "decode",
+                  "corrupt checkpoint state blob");
     }
-    processed_ = cp.processed;
-    outputs_ = cp.outputs;
-    if (cp.local_buckets > local_.bucket_count()) {
-      local_.rehash(cp.local_buckets);
+    processed_ = head.processed;
+    outputs_ = head.outputs;
+    if (head.local_buckets > local_.bucket_count()) {
+      local_.rehash(head.local_buckets);
     }
     slab_.clear();
     epoch_batches_ = 0;
     seal_pending_ = false;
     scratch_.clear();
-    encode_ack(scratch_, AckPayload{cp.epoch});
-    if (!ctrl_.send(FrameType::kRestoreAck, cp.epoch, scratch_)) {
+    encode_ack(scratch_, AckPayload{head.epoch});
+    if (!ctrl_.send(FrameType::kRestoreAck, head.epoch, scratch_)) {
       return fail(kWorkerExitChannel, "send RestoreAck",
                   ctrl_.last_error().c_str());
     }
@@ -482,6 +484,9 @@ class NetWorker {
   std::vector<std::uint8_t> ctrl_payload_;
   std::vector<std::uint8_t> data_payload_;
   ByteWriter scratch_;
+  /// The epoch's checkpoint, built before the summary is sent and kept
+  /// across epochs so its capacity is reused.
+  ByteWriter checkpoint_;
   bool seal_pending_ = false;
   std::uint64_t seal_epoch_ = 0;
   std::uint64_t seal_target_ = 0;
@@ -490,6 +495,15 @@ class NetWorker {
 };
 
 }  // namespace
+
+void write_store_checkpoint(ByteWriter& out, const CheckpointPayload& head,
+                            const StateStore& store) {
+  CheckpointWriter writer(out, head);
+  for (const auto& [key, state] : store.states()) {
+    writer.add(key, [&](ByteWriter& blob) { state->serialize(blob); });
+  }
+  writer.finish();
+}
 
 int run_net_worker(int data_fd, int ctrl_fd, const NetWorkerOptions& options,
                    const OperatorLogic& logic) {

@@ -14,9 +14,12 @@
 
 #include <cstdint>
 
+#include "common/serde.h"
 #include "common/types.h"
 #include "engine/operator.h"
+#include "engine/state.h"
 #include "net/fault_injector.h"
+#include "net/wire.h"
 #include "sketch/stats_provider.h"
 
 namespace skewless {
@@ -48,6 +51,13 @@ struct NetWorkerOptions {
   /// accounting shares the tuples' emit_micros time base.
   Micros engine_epoch_us = 0;
 };
+
+/// Streams a worker checkpoint into `out`: the counters of `head` (its
+/// `states` are ignored) and every state of `store`, each serialized
+/// straight into `out`. Byte-equal to encode_checkpoint of the same
+/// counters and the store's states in iteration order.
+void write_store_checkpoint(ByteWriter& out, const CheckpointPayload& head,
+                            const StateStore& store);
 
 /// Runs the worker protocol until a kStop frame (returns kWorkerExitOk)
 /// or a fatal error (returns one of the kWorkerExit* codes from

@@ -209,6 +209,35 @@ TEST(FrameChannel, LargePayloadCrossesSocketBufferBoundary) {
   EXPECT_EQ(0, std::memcmp(got.data(), big.data(), big.size()));
 }
 
+// A payload over the frame cap (in practice: a checkpoint of a very large
+// state store) is refused by name before anything reaches the socket —
+// never sent as a frame the peer would reject as corrupt. The cap check
+// precedes any read of the payload, so a one-byte buffer stands in for
+// the oversized one.
+TEST(FrameChannel, SendRefusesPayloadOverTheCap) {
+  int fds[2];
+  std::string error;
+  ASSERT_TRUE(make_socket_pair(fds, error)) << error;
+  FrameChannel a(fds[0]);
+  FrameChannel b(fds[1]);
+  const std::uint8_t byte = 0;
+  const std::size_t oversized = std::size_t{kMaxFramePayload} + 1;
+  EXPECT_FALSE(a.send(FrameType::kCheckpoint, 4, &byte, oversized));
+  EXPECT_NE(a.last_error().find("exceeds"), std::string::npos)
+      << a.last_error();
+  EXPECT_NE(a.last_error().find(std::to_string(oversized)), std::string::npos)
+      << a.last_error();
+  EXPECT_EQ(a.bytes_sent(), 0u);
+  EXPECT_EQ(b.wait_readable(0), 0);  // nothing reached the peer
+
+  // The refusal leaves the channel usable.
+  ASSERT_TRUE(a.send(FrameType::kStop, 0, nullptr, 0)) << a.last_error();
+  FrameHeader header;
+  std::vector<std::uint8_t> got;
+  ASSERT_TRUE(b.recv(header, got)) << b.last_error();
+  EXPECT_EQ(header.type, FrameType::kStop);
+}
+
 TEST(FrameChannel, RecvRejectsCorruptHeaderWithoutAborting) {
   int fds[2];
   std::string error;

@@ -1,6 +1,6 @@
 // The socket engine's fault-tolerance layer: the recovery data
-// structures (checkpoint ring, replay buffer, exit classification, fault
-// plans) unit-tested directly, then the recovery PROTOCOL end to end —
+// structures (checkpoint slot and format, replay buffer, exit
+// classification, fault plans) unit-tested directly, then the recovery PROTOCOL end to end —
 // the headline contract being that a worker killed at ANY epoch yields a
 // run byte-identical to the crash-free one (same plan-history digest,
 // same θ bit patterns, same state checksums), and that a worker that
@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <sys/wait.h>
+#include <unordered_set>
 #include <vector>
 
 #include "core/controller.h"
@@ -20,6 +21,7 @@
 #include "net/fault_injector.h"
 #include "net/net_engine.h"
 #include "net/recovery.h"
+#include "net/worker_main.h"
 #include "workload/operators.h"
 #include "workload/synthetic.h"
 
@@ -70,36 +72,150 @@ CheckpointPayload make_checkpoint(std::uint64_t epoch, std::size_t states,
   return cp;
 }
 
-TEST(CheckpointRing, EvictsOldestAndBoundsMemory) {
-  CheckpointRing ring(2);
-  ASSERT_EQ(ring.capacity(), 2u);
-  EXPECT_EQ(ring.latest(), nullptr);
-
-  std::size_t high_water = 0;
-  for (std::uint64_t epoch = 1; epoch <= 50; ++epoch) {
-    ring.push(make_checkpoint(epoch, /*states=*/4, /*blob_bytes=*/64));
-    ASSERT_LE(ring.size(), 2u);
-    ASSERT_NE(ring.latest(), nullptr);
-    EXPECT_EQ(ring.latest()->epoch, epoch);
-    high_water = std::max(high_water, ring.memory_bytes());
-  }
-  // The bound: memory after 50 epochs equals the 2-checkpoint high water,
-  // not O(epochs).
-  EXPECT_EQ(ring.memory_bytes(), high_water);
-  EXPECT_LE(ring.memory_bytes(), 2 * 4 * (sizeof(WireKeyState) + 64));
-
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.latest(), nullptr);
+std::vector<std::uint8_t> encoded(const CheckpointPayload& cp) {
+  ByteWriter w;
+  encode_checkpoint(w, cp);
+  return w.take();
 }
 
-TEST(CheckpointRing, ZeroCapacityClampsToOne) {
-  CheckpointRing ring(0);
-  EXPECT_EQ(ring.capacity(), 1u);
-  ring.push(make_checkpoint(1, 1, 8));
-  ring.push(make_checkpoint(2, 1, 8));
-  ASSERT_EQ(ring.size(), 1u);
-  EXPECT_EQ(ring.latest()->epoch, 2u);
+TEST(CheckpointSlot, HoldsOnlyTheLatestPayloadVerbatim) {
+  CheckpointSlot slot;
+  EXPECT_EQ(slot.latest(), nullptr);
+  EXPECT_EQ(slot.memory_bytes(), 0u);
+
+  for (std::uint64_t epoch = 1; epoch <= 50; ++epoch) {
+    const std::vector<std::uint8_t> payload =
+        encoded(make_checkpoint(epoch, /*states=*/4, /*blob_bytes=*/64));
+    std::vector<std::uint8_t> recv = payload;
+    slot.swap_in(recv);
+    ASSERT_NE(slot.latest(), nullptr);
+    EXPECT_EQ(*slot.latest(), payload);  // verbatim, not re-encoded
+    EXPECT_EQ(read_checkpoint_head(*slot.latest()).epoch, epoch);
+    // The bound: exactly one payload, whatever the run length.
+    EXPECT_EQ(slot.memory_bytes(), payload.size());
+    // The caller's buffer got the previous payload back for reuse.
+    if (epoch > 1) {
+      EXPECT_EQ(read_checkpoint_head(recv).epoch, epoch - 1);
+    }
+  }
+}
+
+TEST(CheckpointSlot, ClearReleasesThePayload) {
+  CheckpointSlot slot;
+  std::vector<std::uint8_t> recv = encoded(make_checkpoint(1, 1, 8));
+  slot.swap_in(recv);
+  ASSERT_NE(slot.latest(), nullptr);
+  slot.clear();
+  EXPECT_EQ(slot.latest(), nullptr);
+  EXPECT_EQ(slot.memory_bytes(), 0u);
+}
+
+// --- checkpoint format pins -----------------------------------------------
+
+class DiscardCollector final : public Collector {
+ public:
+  void emit(const Tuple& /*tuple*/) override {}
+};
+
+// A store of variable-size states (self-join windows of 1..12 tuples).
+void fill_store(StateStore& store, const OperatorLogic& logic) {
+  DiscardCollector out;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    Tuple t;
+    t.key = static_cast<KeyId>((i * 7) % 40);
+    t.value = static_cast<std::int64_t>(i % 5) - 2;
+    t.emit_micros = static_cast<Micros>(i * 10);
+    KeyState& state =
+        store.get_or_create(t.key, [&] { return logic.make_state(); });
+    (void)logic.process(t, state, out);
+  }
+}
+
+// The materializing reference: one heap blob per state, then encode.
+CheckpointPayload materialize(const CheckpointPayload& head,
+                              const StateStore& store) {
+  CheckpointPayload cp = head;
+  cp.states.clear();
+  for (const auto& [key, state] : store.states()) {
+    WireKeyState wire;
+    wire.key = key;
+    ByteWriter blob;
+    state->serialize(blob);
+    wire.blob = blob.take();
+    cp.states.push_back(std::move(wire));
+  }
+  return cp;
+}
+
+TEST(CheckpointFormat, StreamedWorkerCheckpointEqualsTheEncodedPayload) {
+  SelfJoinLogic logic;
+  StateStore store;
+  fill_store(store, logic);
+  CheckpointPayload head;
+  head.epoch = 7;
+  head.processed = 300;
+  head.outputs = 123;
+  head.local_buckets = 257;
+  head.state_checksum = store.checksum();
+
+  ByteWriter streamed;
+  streamed.u8(0xEE);  // appends after existing bytes, like a reused writer
+  write_store_checkpoint(streamed, head, store);
+  std::vector<std::uint8_t> expected{0xEE};
+  const std::vector<std::uint8_t> ref = encoded(materialize(head, store));
+  expected.insert(expected.end(), ref.begin(), ref.end());
+  EXPECT_EQ(streamed.bytes(), expected);
+
+  // An empty store streams the bare counters and a zero count.
+  ByteWriter empty;
+  write_store_checkpoint(empty, head, StateStore{});
+  EXPECT_EQ(empty.bytes(), encoded(head));
+}
+
+TEST(CheckpointFormat, StreamedEffectiveCheckpointEqualsTheReference) {
+  SelfJoinLogic logic;
+  StateStore store;
+  fill_store(store, logic);
+  CheckpointPayload head;
+  head.epoch = 3;
+  head.processed = 300;
+  head.outputs = 77;
+  head.local_buckets = 64;
+  head.state_checksum = store.checksum();
+  const std::vector<std::uint8_t> stored = encoded(materialize(head, store));
+
+  // Keys moved away since the checkpoint (one absent from it), and
+  // installs since (one of them a re-install of a moved key).
+  const std::unordered_set<KeyId> away = {3, 14, 27, 999};
+  std::vector<PendingInstall> installs;
+  for (const KeyId key : {KeyId{500}, KeyId{14}, KeyId{501}}) {
+    PendingInstall p;
+    p.epoch = 3;
+    p.state.key = key;
+    p.state.blob.assign(static_cast<std::size_t>(key % 13), std::uint8_t(key));
+    installs.push_back(std::move(p));
+  }
+
+  CheckpointPayload ref;
+  ByteReader in(stored);
+  ASSERT_TRUE(decode_checkpoint(in, ref));
+  const std::size_t before = ref.states.size();
+  std::erase_if(ref.states, [&](const WireKeyState& s) {
+    return away.count(s.key) > 0;
+  });
+  ASSERT_EQ(ref.states.size(), before - 3);  // 999 was never there
+  for (const PendingInstall& p : installs) ref.states.push_back(p.state);
+
+  ByteWriter streamed;
+  encode_effective_checkpoint(streamed, &stored, away, installs);
+  EXPECT_EQ(streamed.bytes(), encoded(ref));
+
+  // No checkpoint yet: zero counters, and the installs alone.
+  CheckpointPayload none;
+  for (const PendingInstall& p : installs) none.states.push_back(p.state);
+  ByteWriter fresh;
+  encode_effective_checkpoint(fresh, nullptr, away, installs);
+  EXPECT_EQ(fresh.bytes(), encoded(none));
 }
 
 TEST(ReplayBuffer, RecordsVerbatimAndOverflowIsSticky) {
@@ -136,7 +252,8 @@ TEST(WorkerExit, DescribesCodesAndSignals) {
             std::string::npos);
   for (const int code :
        {kWorkerExitChannel, kWorkerExitHandshake, kWorkerExitProtocol,
-        kWorkerExitCorruptFrame, kWorkerExitFault}) {
+        kWorkerExitCorruptFrame, kWorkerExitFault,
+        kWorkerExitCheckpointTooLarge}) {
     const std::string d = describe_worker_exit(exited(code));
     EXPECT_EQ(d.find("clean"), std::string::npos) << d;
     EXPECT_FALSE(d.empty());
@@ -144,6 +261,9 @@ TEST(WorkerExit, DescribesCodesAndSignals) {
   // Distinct codes must read differently — that is the whole point.
   EXPECT_NE(describe_worker_exit(exited(kWorkerExitProtocol)),
             describe_worker_exit(exited(kWorkerExitCorruptFrame)));
+  EXPECT_NE(describe_worker_exit(exited(kWorkerExitCheckpointTooLarge))
+                .find("checkpoint"),
+            std::string::npos);
   const std::string killed = describe_worker_exit(SIGKILL);  // signal 9
   EXPECT_NE(killed.find("signal"), std::string::npos) << killed;
 }
@@ -432,8 +552,8 @@ TEST(NetRecovery, RecoveryDisabledFailsStop) {
   expect_no_children();
 }
 
-// The checkpoint ring must stay bounded over a long run — depth
-// checkpoint_ring_capacity, not O(epochs).
+// Checkpoint memory must stay bounded over a long run: one verbatim
+// payload per worker (the latest), not O(epochs).
 TEST(NetRecovery, CheckpointRingStaysBoundedAcrossEpochs) {
   if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
   ZipfFluctuatingSource::Options opts;
@@ -445,15 +565,21 @@ TEST(NetRecovery, CheckpointRingStaysBoundedAcrossEpochs) {
 
   NetConfig ncfg;
   ncfg.batch_size = 64;
-  ncfg.checkpoint_ring_capacity = 2;
   NetEngine engine(ncfg, std::make_shared<WordCountLogic>(),
                    fault_controller(2, source.num_keys()));
   (void)engine.run(source, /*intervals=*/6, /*seed=*/7);
   ASSERT_TRUE(engine.ok()) << engine.error();
   for (std::size_t w = 0; w < 2; ++w) {
-    EXPECT_LE(engine.checkpoint_ring(w).size(), 2u) << w;
-    ASSERT_NE(engine.checkpoint_ring(w).latest(), nullptr) << w;
-    EXPECT_EQ(engine.checkpoint_ring(w).latest()->epoch, 6u) << w;
+    const CheckpointSlot& slot = engine.checkpoint(w);
+    ASSERT_NE(slot.latest(), nullptr) << w;
+    EXPECT_EQ(read_checkpoint_head(*slot.latest()).epoch, 6u) << w;
+    // One payload: its counters and key-state records, nothing older.
+    EXPECT_EQ(slot.memory_bytes(), slot.latest()->size()) << w;
+    CheckpointPayload cp;
+    ByteReader in(*slot.latest());
+    ASSERT_TRUE(decode_checkpoint(in, cp)) << w;
+    EXPECT_TRUE(in.exhausted()) << w;
+    EXPECT_LE(cp.states.size(), source.num_keys()) << w;
   }
   engine.shutdown();
   ASSERT_TRUE(engine.ok()) << engine.error();

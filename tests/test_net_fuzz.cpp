@@ -120,6 +120,39 @@ std::vector<std::vector<std::uint8_t>> valid_payloads() {
   return out;
 }
 
+/// validate_checkpoint must accept exactly what decode_checkpoint accepts,
+/// stop where it stops, and — on acceptance — the in-place readers must
+/// see what the decoder materialized. Returns whether the input was
+/// accepted.
+bool expect_checkpoint_validator_parity(const std::vector<std::uint8_t>& bytes) {
+  ByteReader dec_in(bytes, ByteReader::Untrusted{});
+  CheckpointPayload cp;
+  const bool decoded = decode_checkpoint(dec_in, cp);
+  ByteReader val_in(bytes, ByteReader::Untrusted{});
+  const bool valid = validate_checkpoint(val_in);
+  EXPECT_EQ(valid, decoded);
+  EXPECT_EQ(val_in.ok(), valid);
+  if (!valid || !decoded) return false;
+  EXPECT_EQ(val_in.remaining(), dec_in.remaining());
+  const CheckpointPayload head = read_checkpoint_head(bytes);
+  EXPECT_EQ(head.epoch, cp.epoch);
+  EXPECT_EQ(head.processed, cp.processed);
+  EXPECT_EQ(head.outputs, cp.outputs);
+  EXPECT_EQ(head.local_buckets, cp.local_buckets);
+  EXPECT_EQ(head.state_checksum, cp.state_checksum);
+  std::size_t i = 0;
+  for_each_checkpoint_state(
+      bytes, [&](KeyId key, const std::uint8_t* blob, std::uint32_t size) {
+        ASSERT_LT(i, cp.states.size());
+        EXPECT_EQ(key, cp.states[i].key);
+        EXPECT_EQ(std::vector<std::uint8_t>(blob, blob + size),
+                  cp.states[i].blob);
+        ++i;
+      });
+  EXPECT_EQ(i, cp.states.size());
+  return true;
+}
+
 /// Runs every payload decoder over `bytes`; the assertion is simply that
 /// none of them aborts (gtest would report the crash) and the reader's
 /// flag agrees with the return value.
@@ -188,6 +221,7 @@ void decode_all(const std::vector<std::uint8_t>& bytes) {
     if (!ok) {
       EXPECT_FALSE(r.ok());
     }
+    (void)expect_checkpoint_validator_parity(bytes);
   }
   {
     ByteReader r(bytes, ByteReader::Untrusted{});
@@ -235,6 +269,65 @@ TEST(NetFuzz, PureGarbageNeverAborts) {
     for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
     decode_all(bytes);
   }
+}
+
+// The driver's allocation-free checkpoint validator against the decoder
+// it stands in for, on inputs built to land on both sides of the line:
+// every truncation prefix, random bit flips, and garbage behind a small
+// plausible state count (pure random bytes are almost always rejected by
+// both, which proves little on its own).
+TEST(NetFuzz, CheckpointValidatorAcceptsExactlyWhatDecodeAccepts) {
+  std::mt19937_64 rng(0xc0ffee);
+  const auto random_checkpoint = [&] {
+    CheckpointPayload cp;
+    cp.epoch = rng();
+    cp.processed = rng();
+    cp.outputs = rng();
+    cp.local_buckets = rng();
+    cp.state_checksum = rng();
+    const std::size_t n = rng() % 6;
+    for (std::size_t i = 0; i < n; ++i) {
+      WireKeyState st;
+      st.key = static_cast<KeyId>(rng());
+      st.blob.resize(rng() % 24);
+      for (auto& b : st.blob) b = static_cast<std::uint8_t>(rng());
+      cp.states.push_back(std::move(st));
+    }
+    ByteWriter w;
+    encode_checkpoint(w, cp);
+    return w.take();
+  };
+
+  int accepted = 0;
+  int rejected = 0;
+  const auto tally = [&](const std::vector<std::uint8_t>& bytes) {
+    (expect_checkpoint_validator_parity(bytes) ? accepted : rejected) += 1;
+  };
+  for (int round = 0; round < 60; ++round) {
+    const std::vector<std::uint8_t> full = random_checkpoint();
+    for (std::size_t keep = 0; keep <= full.size(); ++keep) {
+      tally(std::vector<std::uint8_t>(full.begin(), full.begin() + keep));
+    }
+  }
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<std::uint8_t> bytes = random_checkpoint();
+    const int flips = 1 + static_cast<int>(rng() % 4);
+    for (int f = 0; f < flips; ++f) {
+      bytes[rng() % bytes.size()] ^=
+          static_cast<std::uint8_t>(1u << (rng() % 8));
+    }
+    tally(bytes);
+  }
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<std::uint8_t> bytes(kCheckpointCounterBytes + 4 + rng() % 80);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+    const auto count = static_cast<std::uint32_t>(rng() % 4);
+    std::memcpy(bytes.data() + kCheckpointCounterBytes, &count, sizeof(count));
+    tally(bytes);
+  }
+  // Both verdicts occurred, so the parity was tested in both directions.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 // Frame headers: every truncation and corruption of a valid header must
